@@ -1,9 +1,12 @@
 # Perf-regression gate over bench/simspeed's serial rows: fails when any
 # serial-loop cell's rounds_per_sec drops more than 10% below the checked-in
-# floor in simspeed_baseline.json.  Only serial rows are gated -- rows from
-# the device-jobs sweep (the ones carrying a "device_jobs" key) are host
-# speculation throughput and intentionally unguarded, since on a one-core
-# runner speculative execution is expected to trail the serial loop.
+# floor in simspeed_baseline.json.
+#
+# Rows from the device-jobs sweep (the ones carrying a "device_jobs" key)
+# are gated against their serial twin instead: a row whose wall_ms exceeds
+# 1.5x the same cell's device_jobs = 1 row fails, but only when the JSON's
+# host_cores covers the row's device_jobs.  On fewer cores the jobs share
+# cores and speculation is expected to trail the serial loop.
 #
 # The baseline floors are ~1/3 of a quiet single-core run, so tripping this
 # gate means the serial hot path got multiple times slower (e.g. speculation
@@ -77,7 +80,66 @@ foreach(FI RANGE ${LAST_FLOOR})
   endif()
 endforeach()
 
+# Whole milliseconds of a "%.6g" wall_ms field.
+function(wall_ms_int VALUE OUTVAR)
+  if(NOT VALUE MATCHES "^[0-9]+(\\.[0-9]*)?$")
+    message(FATAL_ERROR "unexpected wall_ms format: ${VALUE}")
+  endif()
+  string(REGEX REPLACE "\\..*$" "" INT "${VALUE}")
+  set(${OUTVAR} "${INT}" PARENT_SCOPE)
+endfunction()
+
+string(JSON HOST_CORES GET "${MEASURED}" host_cores)
+foreach(MI RANGE ${LAST_MEASURED})
+  string(JSON DEVJOBS ERROR_VARIABLE NOTSWEEP
+         GET "${MEASURED}" rows ${MI} device_jobs)
+  if(NOT NOTSWEEP STREQUAL "NOTFOUND" OR DEVJOBS EQUAL 1)
+    continue()
+  endif()
+  string(JSON WL GET "${MEASURED}" rows ${MI} workload)
+  string(JSON VAR GET "${MEASURED}" rows ${MI} variant)
+  if(HOST_CORES LESS DEVJOBS)
+    message(STATUS "${WL}/${VAR} at ${DEVJOBS} device jobs: not gated "
+                   "(host_cores ${HOST_CORES})")
+    continue()
+  endif()
+  string(JSON WALL GET "${MEASURED}" rows ${MI} wall_ms)
+  set(TWIN "")
+  foreach(SI RANGE ${LAST_MEASURED})
+    string(JSON SJOBS ERROR_VARIABLE SNOTSWEEP
+           GET "${MEASURED}" rows ${SI} device_jobs)
+    string(JSON SWL GET "${MEASURED}" rows ${SI} workload)
+    string(JSON SVAR GET "${MEASURED}" rows ${SI} variant)
+    if(SNOTSWEEP STREQUAL "NOTFOUND" AND SJOBS EQUAL 1 AND SWL STREQUAL WL
+       AND SVAR STREQUAL VAR)
+      string(JSON TWIN GET "${MEASURED}" rows ${SI} wall_ms)
+      break()
+    endif()
+  endforeach()
+  if(TWIN STREQUAL "")
+    message(SEND_ERROR
+      "device-jobs row ${WL}/${VAR} at ${DEVJOBS} jobs has no device_jobs = 1 "
+      "twin in ${JSON}")
+    set(FAILED 1)
+    continue()
+  endif()
+  wall_ms_int("${WALL}" WALL_MS)
+  wall_ms_int("${TWIN}" TWIN_MS)
+  math(EXPR LIMIT "${TWIN_MS} * 3 / 2")
+  if(WALL_MS GREATER LIMIT)
+    message(SEND_ERROR
+      "perf regression: ${WL}/${VAR} at ${DEVJOBS} device jobs took "
+      "${WALL} ms, more than 1.5x its serial twin's ${TWIN} ms "
+      "(host_cores ${HOST_CORES})")
+    set(FAILED 1)
+  else()
+    message(STATUS "${WL}/${VAR} at ${DEVJOBS} device jobs: ${WALL} ms <= "
+                   "1.5x serial ${TWIN} ms")
+  endif()
+endforeach()
+
 if(FAILED)
   message(FATAL_ERROR "simspeed perf-regression gate failed")
 endif()
-message(STATUS "simspeed serial throughput within 10% of baseline floors")
+message(STATUS "simspeed serial throughput within 10% of baseline floors; "
+               "gated device-jobs rows within 1.5x of their serial twins")

@@ -235,7 +235,9 @@ private:
 /// Append the standard host-side throughput fields to a JSON row:
 /// wall_ms (host time simulating the cell), rounds_per_sec (simulated warp
 /// rounds per host second), switches_per_round (lane fiber switches per
-/// round).  Wall-clock fields vary run to run and are excluded from
+/// round), replays / replay_rate (discarded speculative rounds) and
+/// spec_rounds (rounds committed in speculative windows).  These fields
+/// vary run to run or with GPUSTM_DEVICE_JOBS and are excluded from
 /// determinism comparisons.
 inline BenchJson::Row &wallFields(BenchJson::Row &Row,
                                   const workloads::HarnessResult &R) {
@@ -243,6 +245,7 @@ inline BenchJson::Row &wallFields(BenchJson::Row &Row,
       .num("rounds_per_sec", R.roundsPerSec())
       .num("switches_per_round", R.switchesPerRound())
       .num("replays", R.HostReplays)
+      .num("spec_rounds", R.HostSpecRounds)
       .num("replay_rate", R.replayRate());
 }
 

@@ -442,9 +442,8 @@ unsigned Device::resolveDeviceJobs() const {
 #if !defined(__x86_64__)
   // The ucontext fiber fallback exposes no saved stack pointer, so rounds
   // cannot be checkpointed; only the serial loop is available.
-  static bool WarnedBackend = false;
-  if (!WarnedBackend) {
-    WarnedBackend = true;
+  static std::atomic<bool> WarnedBackend{false};
+  if (!WarnedBackend.exchange(true, std::memory_order_relaxed)) {
     std::fprintf(stderr, "gpustm: warning: GPUSTM_DEVICE_JOBS ignored (no "
                          "checkpointable fiber backend on this target); "
                          "running serial\n");
@@ -465,9 +464,8 @@ unsigned Device::resolveDeviceJobs() const {
   if (Observed) {
     // Trace and sanitizer hooks observe rounds as they execute and assume
     // serial round order; speculation would show them misspeculated rounds.
-    static bool WarnedObserver = false;
-    if (!WarnedObserver) {
-      WarnedObserver = true;
+    static std::atomic<bool> WarnedObserver{false};
+    if (!WarnedObserver.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr, "gpustm: warning: serial-order observer attached "
                            "(GPUSTM_TRACE / GPUSTM_SAN); forcing "
                            "GPUSTM_DEVICE_JOBS=1\n");
@@ -574,8 +572,15 @@ void Device::snapshotSiblings(RoundSpec &S, BlockState &Block) {
 
 void Device::specWorkerLoop() {
   for (;;) {
-    if (SpecQuit.load(std::memory_order_acquire))
+    uint32_t Mode = SpecMode.load(std::memory_order_acquire);
+    if (Mode == SpecQuit)
       return;
+    if (Mode == SpecParked) {
+      // Serial window: sleep instead of spinning, so the coordinator's
+      // serial rounds keep the core and the caches to themselves.
+      SpecMode.wait(SpecParked, std::memory_order_acquire);
+      continue;
+    }
     bool Ran = false;
     for (auto &SlotPtr : SpecSlots) {
       SpecSlot &Slot = *SlotPtr;
@@ -734,15 +739,52 @@ bool Device::commitApply(SmState &Sm, RoundSpec &S) {
 }
 
 void Device::runParallelLoop(LaunchResult &Result, unsigned Jobs) {
-  SpecSlots.clear();
-  SpecSlots.reserve(Config.NumSMs);
-  for (unsigned I = 0; I < Config.NumSMs; ++I)
-    SpecSlots.push_back(std::make_unique<SpecSlot>());
-  SpecQuit.store(false, std::memory_order_relaxed);
-  SpecWorkers.reserve(Jobs - 1);
-  for (unsigned T = 1; T < Jobs; ++T)
-    SpecWorkers.emplace_back([this] { specWorkerLoop(); });
+  const uint64_t WatchdogStop = watchdogStop();
+  bool Speculate = false; // A launch starts serial.
+  for (;;) {
+    uint64_t Rounds0 = Counters.Rounds;
+    uint64_t Steps0 = Counters.LaneSteps;
+    uint64_t Stop = std::min(RoundsExecuted + SpecWindowRounds, WatchdogStop);
+    bool GoesOn = Speculate ? runSpecWindow(Result, Stop)
+                            : runSerialLoop(Result, Stop);
+    if (Speculate)
+      SpecRounds += Counters.Rounds - Rounds0;
+    if (!GoesOn)
+      break;
+    // The window's width picks the next window's engine.  Counters hold
+    // committed rounds only, so the choice is the same on every run.
+    bool Wide = Counters.LaneSteps - Steps0 >=
+                SpecMinLaneStepsPerRound * (Counters.Rounds - Rounds0);
+    if (Wide && !Speculate) {
+      if (SpecWorkers.empty()) {
+        SpecSlots.reserve(Config.NumSMs);
+        for (unsigned I = 0; I < Config.NumSMs; ++I)
+          SpecSlots.push_back(std::make_unique<SpecSlot>());
+        SpecMode.store(SpecRunning, std::memory_order_release);
+        SpecWorkers.reserve(Jobs - 1);
+        for (unsigned T = 1; T < Jobs; ++T)
+          SpecWorkers.emplace_back([this] { specWorkerLoop(); });
+      } else {
+        SpecMode.store(SpecRunning, std::memory_order_release);
+        SpecMode.notify_all();
+      }
+    } else if (!Wide && Speculate) {
+      drainAllSpecs();
+      SpecMode.store(SpecParked, std::memory_order_release);
+    }
+    Speculate = Wide;
+  }
 
+  SpecMode.store(SpecQuit, std::memory_order_release);
+  SpecMode.notify_all();
+  for (std::thread &T : SpecWorkers)
+    T.join();
+  SpecWorkers.clear();
+  SpecSlots.clear();
+  SpecMode.store(SpecParked, std::memory_order_relaxed);
+}
+
+bool Device::runSpecWindow(LaunchResult &Result, uint64_t StopRound) {
   for (;;) {
     queueSpecs();
 
@@ -751,11 +793,11 @@ void Device::runParallelLoop(LaunchResult &Result, unsigned Jobs) {
       drainAllSpecs(); // No candidates implies no specs; defensive.
       if (LiveBlocks == 0 && NextPendingBlock == CurrentLaunch.GridDim) {
         Result.Completed = true;
-        break;
+        return false;
       }
       Result.Deadlocked = true;
       discardInFlight();
-      break;
+      return false;
     }
 
     SmState &Sm = *BestSm;
@@ -803,15 +845,11 @@ void Device::runParallelLoop(LaunchResult &Result, unsigned Jobs) {
     Slot.State.store(SpecSlot::Idle, std::memory_order_relaxed);
     if (!commitApply(Sm, S)) {
       Result.WatchdogTripped = true;
-      break;
+      return false;
     }
+    if (RoundsExecuted >= StopRound)
+      return true;
   }
-
-  SpecQuit.store(true, std::memory_order_release);
-  for (std::thread &T : SpecWorkers)
-    T.join();
-  SpecWorkers.clear();
-  SpecSlots.clear();
 }
 
 LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
@@ -828,6 +866,7 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   LiveBlocks = 0;
   RoundsExecuted = 0;
   Replays = 0;
+  SpecRounds = 0;
   Watchpoints.clear();
   CurrentIssueCycle = 0;
   Counters = SimCounters();
@@ -849,9 +888,8 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   if (ActiveWmm != nullptr &&
       (static_cast<bool>(TraceHook) || SerialObserver ||
        sanHooks() != nullptr)) {
-    static bool WarnedWmmConflict = false;
-    if (!WarnedWmmConflict) {
-      WarnedWmmConflict = true;
+    static std::atomic<bool> WarnedWmmConflict{false};
+    if (!WarnedWmmConflict.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "gpustm: warning: weak-memory mode (GPUSTM_WMM) disabled "
                    "for launches with a trace/simtsan observer attached\n");
@@ -869,7 +907,7 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   if (Jobs > 1)
     runParallelLoop(Result, Jobs);
   else
-    runSerialLoop(Result);
+    runSerialLoop(Result, watchdogStop());
 
   // Leftover buffered stores (watchdog/deadlock aborts) reach memory
   // before the host reads results.
@@ -882,6 +920,7 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   Result.ElapsedCycles = Elapsed;
   Result.TotalRounds = RoundsExecuted;
   Result.Replays = Replays;
+  Result.SpecRounds = SpecRounds;
 
   StatsSet &S = Result.Stats;
   for (unsigned P = 0; P < NumPhases; ++P)
@@ -915,7 +954,7 @@ LaunchResult Device::launch(const LaunchConfig &Launch, KernelFn Kernel) {
   return Result;
 }
 
-void Device::runSerialLoop(LaunchResult &Result) {
+bool Device::runSerialLoop(LaunchResult &Result, uint64_t StopRound) {
   for (;;) {
     // Pick the SM whose cached candidate issues earliest.  CandIssue is
     // already max(Clock, ReadyAt) of the candidate (recomputeCandidate runs
@@ -924,7 +963,7 @@ void Device::runSerialLoop(LaunchResult &Result) {
     if (!BestSm) {
       if (LiveBlocks == 0 && NextPendingBlock == CurrentLaunch.GridDim) {
         Result.Completed = true;
-        break;
+        return false;
       }
       // Under weak memory the wake-up store for a parked lane may still
       // sit in a store buffer; flush everything and retry before calling
@@ -938,7 +977,7 @@ void Device::runSerialLoop(LaunchResult &Result) {
       // Live lanes exist but none can run: SIMT divergence deadlock.
       Result.Deadlocked = true;
       discardInFlight();
-      break;
+      return false;
     }
 
     SmState &Sm = *BestSm;
@@ -964,10 +1003,11 @@ void Device::runSerialLoop(LaunchResult &Result) {
         static_cast<unsigned>((IssuedIdx + 1) % Sm.WarpList.size());
 
     ++RoundsExecuted;
-    if (RoundsExecuted > Config.WatchdogRounds) {
+    const bool AtStop = RoundsExecuted >= StopRound;
+    if (GPUSTM_UNLIKELY(AtStop) && RoundsExecuted > Config.WatchdogRounds) {
       Result.WatchdogTripped = true;
       discardInFlight();
-      break;
+      return false;
     }
     // Age out long-buffered stores so no spin loop waits forever on a
     // value that exists only in another lane's buffer.
@@ -983,5 +1023,7 @@ void Device::runSerialLoop(LaunchResult &Result) {
         activatePendingBlocks();
     }
     recomputeCandidate(Sm);
+    if (GPUSTM_UNLIKELY(AtStop))
+      return true; // Window end, at a round boundary.
   }
 }

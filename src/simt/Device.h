@@ -20,9 +20,10 @@
 /// substrate -- per-lane store buffers plus stale load bindings, resolved
 /// by a seeded oracle -- so the protocol's fences are functionally tested
 /// (DESIGN.md section 11).  By default the round loop is serial; with
-/// GPUSTM_DEVICE_JOBS > 1 rounds from different SMs execute speculatively
-/// on worker threads but still *commit* in the serial (issue-cycle,
-/// SM-index) order, so all outputs stay bit-identical (DESIGN.md section 9).
+/// GPUSTM_DEVICE_JOBS > 1, windows of wide rounds from different SMs
+/// execute speculatively on worker threads but still *commit* in the serial
+/// (issue-cycle, SM-index) order, so all outputs stay bit-identical
+/// (DESIGN.md section 9).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,6 +105,10 @@ struct LaunchResult {
   /// Speculative rounds discarded and re-executed (always 0 in serial mode;
   /// a host-side quality metric -- never part of the modeled stats).
   uint64_t Replays = 0;
+  /// Rounds committed in speculative windows of a DeviceJobs > 1 launch
+  /// (always 0 in serial mode; host-side like Replays -- never part of the
+  /// modeled stats).
+  uint64_t SpecRounds = 0;
   /// Per-phase cycles, memory transactions, atomics, ... (see Device.cpp
   /// for the counter names).
   StatsSet Stats;
@@ -145,6 +150,19 @@ class Device {
 public:
   explicit Device(const DeviceConfig &Config);
   ~Device();
+
+  /// DeviceJobs > 1 launches run in windows of SpecWindowRounds committed
+  /// rounds, starting serial; the next window speculates iff the last one
+  /// averaged at least SpecMinLaneStepsPerRound lane steps per round
+  /// (DESIGN.md section 9).  Measured on 4 cores as 3-job time over serial
+  /// time, by steps/round: every cell at <= 4.1 lost (LB/Optimized 1.01:
+  /// 5.0x; the CGL cells 1.24-1.61: 8.0-8.8x; KM/Optimized 3.30: 2.9x;
+  /// KM/HV-Backoff 4.11: 2.3x), the low-conflict cells at >= 11 won
+  /// (EB/Optimized 11.0: 0.70x; RA/Optimized 11.6: 0.72x; HT/Optimized
+  /// 32.0: 0.81x).  GN/Optimized (21.1: 1.22x) is wide but replays 29% of
+  /// its rounds.
+  static constexpr uint64_t SpecWindowRounds = 1024;
+  static constexpr uint64_t SpecMinLaneStepsPerRound = 8;
 
   Device(const Device &) = delete;
   Device &operator=(const Device &) = delete;
@@ -330,15 +348,32 @@ private:
     RoundSpec Spec;
   };
 
+  /// Worker modes (SpecMode): workers sleep on Parked during serial windows.
+  enum : uint32_t { SpecParked = 0, SpecRunning = 1, SpecQuit = 2 };
+
   /// Worker count for this launch: config / GPUSTM_DEVICE_JOBS, forced to 1
   /// (with a one-line warning) by serial-order observers or on targets
   /// without the fast fiber backend.
   unsigned resolveDeviceJobs() const;
-  /// The classic serial round loop (DeviceJobs == 1).
-  void runSerialLoop(LaunchResult &Result);
-  /// The speculative round loop: \p Jobs - 1 workers plus the coordinator.
+  /// The classic serial round loop.  Runs until the launch ends, or until
+  /// RoundsExecuted reaches \p StopRound at a round boundary (returns true:
+  /// the launch goes on).  StopRound = watchdogStop() runs the whole
+  /// launch (DeviceJobs == 1): the stop is the watchdog compare.
+  bool runSerialLoop(LaunchResult &Result, uint64_t StopRound);
+  /// The round count at which the watchdog trips: WatchdogRounds + 1,
+  /// saturating.
+  uint64_t watchdogStop() const {
+    return Config.WatchdogRounds + (Config.WatchdogRounds != UINT64_MAX);
+  }
+  /// The DeviceJobs > 1 loop: windows of SpecWindowRounds rounds, each on
+  /// the serial loop or the speculative engine by the last window's width.
   void runParallelLoop(LaunchResult &Result, unsigned Jobs);
-  /// Worker thread body: claim Queued slots, checkpoint, execute, mark Done.
+  /// One speculative window: the workers plus the coordinator commit rounds
+  /// until the launch ends or RoundsExecuted reaches \p StopRound (returns
+  /// true: the launch goes on).
+  bool runSpecWindow(LaunchResult &Result, uint64_t StopRound);
+  /// Worker thread body: claim Queued slots, checkpoint, execute, mark Done;
+  /// block on SpecMode while parked.
   void specWorkerLoop();
   /// Queue a fresh spec on every SM with a candidate and an idle slot.
   void queueSpecs();
@@ -387,11 +422,13 @@ private:
   unsigned NextPendingBlock = 0;
   unsigned LiveBlocks = 0;
   uint64_t RoundsExecuted = 0;
-  /// Speculation state (empty / zero whenever DeviceJobs resolves to 1).
+  /// Speculation state (empty / zero until a launch's first speculative
+  /// window, and whenever DeviceJobs resolves to 1).
   std::vector<std::unique_ptr<SpecSlot>> SpecSlots;
   std::vector<std::thread> SpecWorkers;
-  std::atomic<bool> SpecQuit{false};
+  std::atomic<uint32_t> SpecMode{SpecParked};
   uint64_t Replays = 0;
+  uint64_t SpecRounds = 0;
   bool SerialObserver = false;
   /// Attached weak-memory model (see setWmmModel) and the launch-scoped
   /// active pointer: non-null only while a launch is actually relaxing

@@ -311,6 +311,7 @@ HarnessResult ExecutionContext::run(const HarnessConfig &Config) {
     Result.KernelCycles.push_back(R.ElapsedCycles);
     Result.TotalCycles += R.ElapsedCycles;
     Result.HostReplays += R.Replays;
+    Result.HostSpecRounds += R.SpecRounds;
     Result.Sim.merge(R.Stats);
     Result.KernelSim.push_back(R.Stats);
     if (!R.Completed) {

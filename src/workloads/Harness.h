@@ -104,6 +104,10 @@ struct HarnessResult {
   /// (0 in serial mode).  A host-throughput diagnostic like WallNanos:
   /// timing-dependent, so it is excluded from the deterministic StatsSet.
   uint64_t HostReplays = 0;
+  /// Warp rounds committed in speculative windows over all kernels (0 in
+  /// serial mode; see LaunchResult::SpecRounds).  Host-side like
+  /// HostReplays, and excluded from the deterministic StatsSet with it.
+  uint64_t HostSpecRounds = 0;
 
   /// Abort rate: aborts / (commits + aborts).
   double abortRate() const {
@@ -214,7 +218,7 @@ uint64_t cglBaselineCycles(ExecutionContext &Ctx, const HarnessConfig &Config);
 /// FNV-1a digest of every deterministic field of \p R: completion/verify
 /// flags, modeled cycles (total and per kernel), STM counters, and the
 /// merged + per-kernel simulator stats.  Host-throughput diagnostics
-/// (WallNanos, HostReplays, SanReports) are excluded, so the digest of a
+/// (WallNanos, HostReplays, HostSpecRounds, SanReports) are excluded, so the digest of a
 /// warm or speculative run equals the digest of a serial one-shot run.
 /// The serve layer keys its result cache and its replay-vs-oneshot
 /// comparisons on this.

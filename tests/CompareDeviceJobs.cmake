@@ -1,7 +1,7 @@
 # Runs a bench binary under GPUSTM_DEVICE_JOBS=1, 2 and 4 and fails unless
 # every run's stdout is byte-identical and every BENCH_*.json is identical
 # once the host-throughput fields (jobs, wall_ms*, rounds_per_sec,
-# switches_per_round, replays, replay_rate) are stripped: speculative
+# switches_per_round, replays, spec_rounds, replay_rate) are stripped: speculative
 # parallel warp-round execution must be invisible in every modeled number.
 #
 # With SAN=1 the binary additionally runs under GPUSTM_SAN=1 (which forces
@@ -26,6 +26,7 @@ function(read_stripped INFILE OUTVAR)
   string(REGEX REPLACE ",\"rounds_per_sec\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"switches_per_round\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"replays\":[^,}]+" "" J "${J}")
+  string(REGEX REPLACE ",\"spec_rounds\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"replay_rate\":[^,}]+" "" J "${J}")
   set(${OUTVAR} "${J}" PARENT_SCOPE)
 endfunction()

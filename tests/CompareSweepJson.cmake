@@ -1,7 +1,8 @@
 # Runs a bench binary under GPUSTM_JOBS=1 and GPUSTM_JOBS=4 and fails unless
 # the two BENCH_*.json files are identical once the host-throughput fields
-# (jobs, wall_ms*, rounds_per_sec, switches_per_round) are stripped: the
-# parallel sweep runner must be invisible in every modeled number.
+# (jobs, wall_ms*, rounds_per_sec, switches_per_round, replays, spec_rounds,
+# replay_rate) are stripped: the parallel sweep runner must be invisible in
+# every modeled number.
 #
 # Usage:
 #   cmake -DBENCH=<binary> -DJSON_NAME=<BENCH_x.json> -DWORKDIR=<dir>
@@ -20,6 +21,7 @@ function(read_stripped INFILE OUTVAR)
   string(REGEX REPLACE ",\"rounds_per_sec\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"switches_per_round\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"replays\":[^,}]+" "" J "${J}")
+  string(REGEX REPLACE ",\"spec_rounds\":[^,}]+" "" J "${J}")
   string(REGEX REPLACE ",\"replay_rate\":[^,}]+" "" J "${J}")
   set(${OUTVAR} "${J}" PARENT_SCOPE)
 endfunction()

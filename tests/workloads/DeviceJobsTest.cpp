@@ -19,6 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string_view>
+#include <thread>
+#include <vector>
+
 using namespace gpustm;
 using namespace gpustm::workloads;
 
@@ -75,10 +80,23 @@ TEST_P(DeviceJobsMatrixTest, EveryVariantBitIdenticalAcrossDeviceJobs) {
     SCOPED_TRACE(testing::Message()
                  << Workload << " / " << stm::variantName(Kind));
     HarnessResult Serial = runCell(Workload, Kind, 1);
-    for (unsigned Jobs : {2u, 4u}) {
-      SCOPED_TRACE(testing::Message() << "device jobs " << Jobs);
-      HarnessResult Parallel = runCell(Workload, Kind, Jobs);
-      expectIdentical(Serial, Parallel);
+    EXPECT_EQ(Serial.HostSpecRounds, 0u);
+    HarnessResult Two = runCell(Workload, Kind, 2);
+    HarnessResult Four = runCell(Workload, Kind, 4);
+    HarnessResult FourAgain = runCell(Workload, Kind, 4);
+    for (const HarnessResult *Parallel : {&Two, &Four, &FourAgain})
+      expectIdentical(Serial, *Parallel);
+    // The window rule reads only committed (deterministic) counters, so
+    // the speculative share is a property of the cell, not of the run or
+    // of the job count.
+    EXPECT_EQ(Two.HostSpecRounds, Four.HostSpecRounds);
+    EXPECT_EQ(Four.HostSpecRounds, FourAgain.HostSpecRounds);
+    // Lock-serialized CGL and the one-tx-thread-per-block shapes (EGPGV,
+    // Labyrinth) step 1.0-1.6 lanes per round in every window: they never
+    // leave the serial loop.
+    if (Kind == stm::Variant::CGL || Kind == stm::Variant::EGPGV ||
+        std::string_view(Workload) == "LB") {
+      EXPECT_EQ(Two.HostSpecRounds, 0u);
     }
   }
 }
@@ -136,6 +154,70 @@ TEST(DeviceJobsStressTest, ClockHammerReplaysAndStaysIdentical) {
   // speculation must actually happen -- and must be discarded and replayed,
   // not silently serialized.
   EXPECT_GT(Parallel.Result.Replays, 0u);
+  EXPECT_GT(Parallel.Result.SpecRounds, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Mixed width: the window rule speculates only on the wide phases
+//===----------------------------------------------------------------------===//
+
+struct MixedRun {
+  simt::LaunchResult Result;
+  std::vector<simt::Word> Final;
+};
+
+/// Wide phase (every lane bumps its own word), then a turn-serialized
+/// critical section that parks all lanes but one, then a second wide
+/// phase once the last turn has passed.
+MixedRun runMixedWidth(unsigned DeviceJobs) {
+  simt::DeviceConfig DC;
+  DC.MemoryWords = 1u << 20;
+  DC.NumSMs = 4;
+  DC.WatchdogRounds = 1u << 22;
+  DC.DeviceJobs = DeviceJobs;
+  simt::Device Dev(DC);
+  simt::LaunchConfig L{8, 64};
+  const unsigned Threads = L.totalThreads();
+  simt::Addr Own = Dev.hostAlloc(Threads);
+  simt::Addr Turn = Dev.hostAlloc(1);
+  simt::Addr Shared = Dev.hostAlloc(1);
+  MixedRun R;
+  R.Result = Dev.launch(L, [&](simt::ThreadCtx &Ctx) {
+    const unsigned Gid = Ctx.globalThreadId();
+    for (unsigned I = 0; I < 256; ++I)
+      Ctx.atomicAdd(Own + Gid, 1);
+    while (Ctx.load(Turn) != Gid)
+      Ctx.memWaitEquals(Turn, Gid);
+    for (unsigned I = 0; I < 4; ++I)
+      Ctx.atomicAdd(Shared, Gid);
+    Ctx.store(Turn, Gid + 1);
+    while (Ctx.load(Turn) != Threads)
+      Ctx.memWaitEquals(Turn, Threads);
+    for (unsigned I = 0; I < 256; ++I)
+      Ctx.atomicAdd(Own + Gid, Ctx.load(Shared) & 1);
+  });
+  R.Final.resize(Threads + 2);
+  Dev.hostRead(Own, R.Final.data(), Threads + 2);
+  return R;
+}
+
+TEST(DeviceJobsWindowTest, MixedWidthSpeculatesOnlyTheWidePhases) {
+  MixedRun Serial = runMixedWidth(1);
+  ASSERT_TRUE(Serial.Result.Completed);
+  EXPECT_EQ(Serial.Result.SpecRounds, 0u);
+  for (unsigned Jobs : {2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "device jobs " << Jobs);
+    MixedRun Parallel = runMixedWidth(Jobs);
+    ASSERT_TRUE(Parallel.Result.Completed);
+    EXPECT_EQ(Parallel.Final, Serial.Final);
+    EXPECT_EQ(Parallel.Result.ElapsedCycles, Serial.Result.ElapsedCycles);
+    EXPECT_EQ(Parallel.Result.TotalRounds, Serial.Result.TotalRounds);
+    EXPECT_EQ(Parallel.Result.Stats.entries(), Serial.Result.Stats.entries());
+    // The wide phases speculate; the first window and the serialized
+    // section run on the serial loop.
+    EXPECT_GT(Parallel.Result.SpecRounds, 0u);
+    EXPECT_LT(Parallel.Result.SpecRounds, Parallel.Result.TotalRounds);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -144,20 +226,39 @@ TEST(DeviceJobsStressTest, ClockHammerReplaysAndStaysIdentical) {
 
 using DeviceJobsDeathTest = ::testing::Test;
 
-void speculativeOutOfBoundsStore() {
+/// One warm-up iteration is one round of the storing thread's warp, so its
+/// store comes after more rounds than the first (always serial) window
+/// holds: it lands inside a speculative window.
+constexpr unsigned OutOfBoundsWarmup = simt::Device::SpecWindowRounds + 64;
+
+simt::LaunchResult runOutOfBoundsKernel(simt::Addr StoreTo) {
   simt::DeviceConfig DC;
   DC.MemoryWords = 1u << 16;
   DC.NumSMs = 4;
   DC.DeviceJobs = 4;
   simt::Device Dev(DC);
   simt::LaunchConfig L{8, 64};
-  Dev.launch(L, [&](simt::ThreadCtx &Ctx) {
-    for (unsigned I = 0; I < 64; ++I)
+  return Dev.launch(L, [&](simt::ThreadCtx &Ctx) {
+    for (unsigned I = 0; I < OutOfBoundsWarmup; ++I)
       Ctx.atomicAdd(0, 1); // Warm up so rounds speculate.
     if (Ctx.globalThreadId() == 130)
-      Ctx.store(1u << 16, 7);
+      Ctx.store(StoreTo, 7);
     Ctx.atomicAdd(0, 1);
   });
+}
+
+void speculativeOutOfBoundsStore() { runOutOfBoundsKernel(1u << 16); }
+
+TEST(DeviceJobsDeathTest, InBoundsTwinStoresInsideSpeculativeWindow) {
+  // The non-dying twin of the death test below: the same schedule with an
+  // in-bounds store.  Every round after the first window speculates, and
+  // thread 130 stores only after its warp's warm-up rounds, past the first
+  // window.
+  simt::LaunchResult R = runOutOfBoundsKernel(1);
+  ASSERT_TRUE(R.Completed);
+  EXPECT_GT(R.SpecRounds, 0u);
+  EXPECT_EQ(R.SpecRounds, R.TotalRounds - simt::Device::SpecWindowRounds);
+  EXPECT_GT(R.TotalRounds, 2 * simt::Device::SpecWindowRounds);
 }
 
 TEST(DeviceJobsDeathTest, SpeculativeOutOfBoundsStoreAbortsWithCoordinates) {
@@ -167,6 +268,43 @@ TEST(DeviceJobsDeathTest, SpeculativeOutOfBoundsStoreAbortsWithCoordinates) {
   // never a raw out-of-range write or a silent discard.
   ASSERT_DEATH(speculativeOutOfBoundsStore(),
                "out-of-bounds global store of word 65536");
+}
+
+//===----------------------------------------------------------------------===//
+// Concurrent launches from several host threads
+//===----------------------------------------------------------------------===//
+
+TEST(DeviceJobsConcurrencyTest, TraceHookedLaunchesOnTwoThreads) {
+  // Each launch asks for speculation but carries a trace hook, so both
+  // downgrade to the serial loop through the once-per-process warning at
+  // the same time (GPUSTM_JOBS sweeps and stmserve workers do this).
+  // Under ThreadSanitizer this covers the warning flags.
+  auto Run = [](uint64_t &Ops, simt::Word &Final) {
+    simt::DeviceConfig DC;
+    DC.MemoryWords = 1u << 16;
+    DC.NumSMs = 2;
+    DC.DeviceJobs = 2;
+    simt::Device Dev(DC);
+    Dev.setTraceHook([&Ops](const simt::TraceEvent &) { ++Ops; });
+    simt::LaunchResult R = Dev.launch(simt::LaunchConfig{2, 64},
+                                      [](simt::ThreadCtx &Ctx) {
+                                        for (unsigned I = 0; I < 8; ++I)
+                                          Ctx.atomicAdd(0, 1);
+                                      });
+    EXPECT_TRUE(R.Completed);
+    EXPECT_EQ(R.SpecRounds, 0u);
+    Final = Dev.memory().load(0);
+  };
+  uint64_t OpsA = 0, OpsB = 0;
+  simt::Word FinalA = 0, FinalB = 0;
+  std::thread A(Run, std::ref(OpsA), std::ref(FinalA));
+  std::thread B(Run, std::ref(OpsB), std::ref(FinalB));
+  A.join();
+  B.join();
+  EXPECT_EQ(FinalA, 2u * 64u * 8u);
+  EXPECT_EQ(FinalB, FinalA);
+  EXPECT_EQ(OpsA, OpsB);
+  EXPECT_GT(OpsA, 0u);
 }
 
 } // namespace
